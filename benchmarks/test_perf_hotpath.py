@@ -6,7 +6,7 @@ pointed at, each verified for exactness before any throughput claim:
 * **native tree routing** — the compiled ``route_leaves`` kernel vs the
   numpy fallback inside ``FlatEnsemble.predict_leaves`` (bit-identical
   leaves, then the speedup ratio);
-* **uint8 packed predict** — ``CrossArchPredictor.predict_packed`` on a
+* **uint8 packed predict** — ``CrossArchPredictor.predict`` on a
   pre-packed matrix vs ``predict`` re-binning floats every call
   (bit-identical predictions);
 * **sharded replicas** — ``run_replicas`` across processes vs inline,
@@ -115,7 +115,7 @@ def test_perf_hotpath():
     packed = predictor.pack(Xf)
     assert packed.dtype == np.uint8
 
-    assert np.array_equal(predictor.predict_packed(packed),
+    assert np.array_equal(predictor.predict(packed),
                           predictor.predict(Xf)), (
         "packed predictions differ from the float path")
     predictor.predict(Xf)
@@ -123,10 +123,10 @@ def test_perf_hotpath():
     for _ in range(3):
         predictor.predict(Xf)
     t_float = (time.perf_counter() - t0) / 3
-    predictor.predict_packed(packed)
+    predictor.predict(packed)
     t0 = time.perf_counter()
     for _ in range(3):
-        predictor.predict_packed(packed)
+        predictor.predict(packed)
     t_packed = (time.perf_counter() - t0) / 3
     results["packed_predict"] = {
         "n_rows": Xf.shape[0],

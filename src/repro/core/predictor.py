@@ -21,9 +21,9 @@ from repro import telemetry
 from repro.arch.machines import SYSTEM_ORDER
 from repro.errors import PackingError
 from repro.dataset.features import (
-    REQUIRED_RECORD_FIELDS,
     FeatureNormalizer,
-    derive_feature_frame,
+    check_record,
+    featurize_records,
 )
 from repro.dataset.generate import MPHPCDataset
 from repro.dataset.schema import FEATURE_COLUMNS, FEATURE_LABELS
@@ -31,11 +31,6 @@ from repro.frame import Frame
 from repro.ml import MODELS
 
 __all__ = ["CrossArchPredictor"]
-
-
-def _make_model(kind: str, random_state: int | None, **kwargs):
-    """Instantiate a registered model factory (typed error on a miss)."""
-    return MODELS[kind](random_state=random_state, **kwargs)
 
 
 class CrossArchPredictor:
@@ -63,7 +58,8 @@ class CrossArchPredictor:
     ):
         self.kind = model
         self.feature_columns = tuple(feature_columns)
-        self.model = _make_model(model, random_state, **model_kwargs)
+        self.model = MODELS[model](random_state=random_state,
+                                   **model_kwargs)
         self.normalizer: FeatureNormalizer | None = None
         self.systems = tuple(SYSTEM_ORDER)
 
@@ -92,26 +88,48 @@ class CrossArchPredictor:
         return self
 
     # ------------------------------------------------------------------
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Predict RPVs from an already-featurized matrix."""
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != len(self.feature_columns):
-            raise ValueError(
-                f"X has shape {X.shape}, expected (n, {len(self.feature_columns)})"
+    def _rows(self, X: np.ndarray) -> tuple[np.ndarray, bool]:
+        """Validate a feature matrix: float rows, or the uint8 codes
+        :meth:`pack` returns.  Returns ``(X, packed)``."""
+        X = np.asarray(X)
+        packed = X.dtype == np.uint8
+        if packed and getattr(self.model, "binner_", None) is None:
+            raise PackingError(
+                f"{self.kind} model has no feature binner; "
+                "it cannot score packed features"
             )
+        if not packed:
+            X = X.astype(np.float64, copy=False)
+        if X.ndim != 2 or X.shape[1] != len(self.feature_columns):
+            error = PackingError if packed else ValueError
+            raise error(
+                f"{'packed matrix' if packed else 'X'} has shape "
+                f"{X.shape}, expected (n, {len(self.feature_columns)})"
+            )
+        return X, packed
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """Predict RPVs from feature rows or from :meth:`pack` codes.
+
+        Packed codes answer bit-identically to the floats they came
+        from: binning is exactly the transform float rows go through
+        first, so only the quantile searchsorted is skipped.
+        """
+        X, packed = self._rows(X)
+        score = self.model.predict_binned if packed else self.model.predict
+        if not telemetry.metrics_enabled():
+            return score(X)
         # Instrumented here — at the batch boundary — so the flat-
         # ensemble kernel underneath stays telemetry-free.
-        if telemetry.metrics_enabled():
-            t0 = time.perf_counter()
-            result = self.model.predict(X)
-            telemetry.histogram("predict.batch_seconds").observe(
-                time.perf_counter() - t0
-            )
-            telemetry.histogram(
-                "predict.batch_rows", telemetry.SIZE_BUCKETS
-            ).observe(X.shape[0])
-            return result
-        return self.model.predict(X)
+        t0 = time.perf_counter()
+        result = score(X)
+        telemetry.histogram("predict.batch_seconds").observe(
+            time.perf_counter() - t0
+        )
+        telemetry.histogram(
+            "predict.batch_rows", telemetry.SIZE_BUCKETS
+        ).observe(X.shape[0])
+        return result
 
     def pack(self, X: np.ndarray) -> np.ndarray:
         """Pack a float feature matrix into uint8 bin codes, once.
@@ -121,7 +139,8 @@ class CrossArchPredictor:
         (every scheduler wake-up, every sweep cell, every serve
         hot-batch) can skip both the quantile transform and the float64
         matrix entirely: a packed matrix streams 1 byte per cell
-        instead of 8.  Feed the result to :meth:`predict_packed`.
+        instead of 8.  Feed the result to :meth:`predict` or
+        :meth:`predict_with_uncertainty`.
 
         Raises :class:`repro.errors.PackingError` when the underlying
         model has no binner (linear/mean models traverse nothing, so
@@ -140,39 +159,6 @@ class CrossArchPredictor:
                 f"(n, {len(self.feature_columns)})"
             )
         return binner.transform(X)
-
-    def predict_packed(self, Xb: np.ndarray) -> np.ndarray:
-        """Predict RPVs from a matrix packed by :meth:`pack`.
-
-        Bit-identical to ``predict`` on the floats the codes came from
-        (the binning is exactly the transform ``predict`` applies
-        first); only the repeated quantile searchsorted is skipped.
-        """
-        if not hasattr(self.model, "predict_binned"):
-            raise PackingError(
-                f"{self.kind} model cannot score packed features"
-            )
-        Xb = np.asarray(Xb)
-        if Xb.dtype != np.uint8:
-            raise PackingError(
-                f"packed matrix must be uint8 bin codes, got {Xb.dtype}"
-            )
-        if Xb.ndim != 2 or Xb.shape[1] != len(self.feature_columns):
-            raise PackingError(
-                f"packed matrix has shape {Xb.shape}, expected "
-                f"(n, {len(self.feature_columns)})"
-            )
-        if telemetry.metrics_enabled():
-            t0 = time.perf_counter()
-            result = self.model.predict_binned(Xb)
-            telemetry.histogram("predict.batch_seconds").observe(
-                time.perf_counter() - t0
-            )
-            telemetry.histogram(
-                "predict.batch_rows", telemetry.SIZE_BUCKETS
-            ).observe(Xb.shape[0])
-            return result
-        return self.model.predict_binned(Xb)
 
     def predict_frame(self, frame: Frame) -> np.ndarray:
         """Predict RPVs for rows of a frame containing feature columns."""
@@ -194,22 +180,10 @@ class CrossArchPredictor:
         """
         if self.normalizer is None:
             raise RuntimeError("predict_record called before fit")
-        missing = [f for f in REQUIRED_RECORD_FIELDS if f not in record]
-        if missing:
-            raise KeyError(
-                f"record is missing counter fields: {sorted(missing)}"
-            )
-        bad = [
-            f for f in REQUIRED_RECORD_FIELDS
-            if not np.isfinite(np.asarray(record[f], dtype=np.float64))
-        ]
-        if bad:
-            raise ValueError(
-                f"record has non-finite counter values: {sorted(bad)}"
-            )
-        frame = Frame.from_records([record])
-        featured, _ = derive_feature_frame(frame, normalizer=self.normalizer)
-        return self.predict_frame(featured)[0]
+        check_record(record)
+        return self.predict(featurize_records(
+            [record], self.normalizer, self.feature_columns
+        ))[0]
 
     def rank_systems(self, record: dict) -> list[str]:
         """System names ordered fastest to slowest for one run record."""
@@ -219,78 +193,32 @@ class CrossArchPredictor:
     @property
     def has_uncertainty(self) -> bool:
         """Whether the wrapped model exposes an uncertainty estimate."""
-        return bool(getattr(self.model, "has_uncertainty", False)) or \
-            hasattr(self.model, "predict_per_tree")
+        return getattr(self.model, "has_uncertainty", False)
 
     def predict_with_uncertainty(
         self, X: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Predict RPVs with a per-component uncertainty estimate.
 
-        Models advertising ``has_uncertainty`` answer through the
-        uncertainty protocol — ensemble spread for forests, the
+        Takes feature rows or :meth:`pack` codes, like :meth:`predict`.
+        The spread is the ensemble spread for forests and the
         inter-quantile half-width for boosting fitted with
-        ``quantile_heads`` — and the mean stays bit-identical to
+        ``quantile_heads``; the mean stays bit-identical to
         :meth:`predict` (uncertainty is a second output, never a
         different answer).  Returns ``(mean, spread)``, both shaped
         ``(n, n_outputs)``.  A scheduler can use the spread to fall
         back to safer placements when the model is unsure which system
         wins.
         """
-        model = self._uncertainty_model()
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != len(self.feature_columns):
-            raise ValueError(
-                f"X has shape {X.shape}, expected (n, {len(self.feature_columns)})"
+        if not self.has_uncertainty:
+            raise TypeError(
+                f"{self.kind} model has no uncertainty estimate; "
+                "use model='forest' or fit xgboost with quantile_heads"
             )
-        if model is not None:
-            return model.predict_with_uncertainty(X)
-        per_tree = self.model.predict_per_tree(X)
-        return per_tree.mean(axis=0), per_tree.std(axis=0)
-
-    def predict_packed_with_uncertainty(
-        self, Xb: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(mean, spread)`` from a matrix packed by :meth:`pack`.
-
-        The mean is bit-identical to :meth:`predict_packed` on the same
-        codes (same flat-ensemble traversal, same accumulation order).
-        """
-        model = self._uncertainty_model()
-        if model is None or not hasattr(
-            model, "predict_binned_with_uncertainty"
-        ):
-            raise PackingError(
-                f"{self.kind} model cannot score packed features "
-                "with uncertainty"
-            )
-        Xb = np.asarray(Xb)
-        if Xb.dtype != np.uint8:
-            raise PackingError(
-                f"packed matrix must be uint8 bin codes, got {Xb.dtype}"
-            )
-        if Xb.ndim != 2 or Xb.shape[1] != len(self.feature_columns):
-            raise PackingError(
-                f"packed matrix has shape {Xb.shape}, expected "
-                f"(n, {len(self.feature_columns)})"
-            )
-        return model.predict_binned_with_uncertainty(Xb)
-
-    def _uncertainty_model(self):
-        """The wrapped model if it speaks the uncertainty protocol.
-
-        Returns None when only the legacy ``predict_per_tree`` fallback
-        applies; raises the documented ``TypeError`` when neither path
-        exists (e.g. boosting without quantile heads, linear, mean).
-        """
-        if getattr(self.model, "has_uncertainty", False):
-            return self.model
-        if hasattr(self.model, "predict_per_tree"):
-            return None
-        raise TypeError(
-            f"{self.kind} model has no uncertainty estimate; "
-            "use model='forest' or fit xgboost with quantile_heads"
-        )
+        X, packed = self._rows(X)
+        if packed:
+            return self.model.predict_binned_with_uncertainty(X)
+        return self.model.predict_with_uncertainty(X)
 
     # ------------------------------------------------------------------
     def feature_importances(self) -> dict[str, float]:

@@ -27,7 +27,11 @@ import numpy as np
 
 from repro.arch.descriptor import MachineDescriptor, descriptor_from_spec
 from repro.arch.machines import MACHINES, SYSTEM_ORDER
-from repro.dataset.features import FeatureNormalizer, derive_feature_frame
+from repro.dataset.features import (
+    FeatureNormalizer,
+    check_record,
+    featurize_records,
+)
 from repro.dataset.longform import LongformDataset
 from repro.dataset.schema import (
     ARCH_COLUMNS,
@@ -35,7 +39,6 @@ from repro.dataset.schema import (
     FEATURE_COLUMNS,
     LONG_FEATURE_COLUMNS,
 )
-from repro.frame import Frame
 from repro.ml import MODELS
 
 __all__ = ["DescriptorConditionedPredictor"]
@@ -102,8 +105,7 @@ class DescriptorConditionedPredictor:
     # ------------------------------------------------------------------
     @property
     def has_uncertainty(self) -> bool:
-        return bool(getattr(self.model, "has_uncertainty", False)) or \
-            hasattr(self.model, "predict_per_tree")
+        return getattr(self.model, "has_uncertainty", False)
 
     def _check(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -122,16 +124,11 @@ class DescriptorConditionedPredictor:
         self, X: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """``(rel_time, spread)`` per long feature row, each ``(n,)``."""
-        X = self._check(X)
-        if getattr(self.model, "has_uncertainty", False):
-            mean, spread = self.model.predict_with_uncertainty(X)
-        elif hasattr(self.model, "predict_per_tree"):
-            per_tree = self.model.predict_per_tree(X)
-            mean, spread = per_tree.mean(axis=0), per_tree.std(axis=0)
-        else:
+        if not self.has_uncertainty:
             raise TypeError(
                 f"{self.kind} model has no uncertainty estimate"
             )
+        mean, spread = self.model.predict_with_uncertainty(self._check(X))
         return mean[:, 0], spread[:, 0]
 
     # ------------------------------------------------------------------
@@ -154,6 +151,10 @@ class DescriptorConditionedPredictor:
                 f"X has shape {X_wide.shape}, expected "
                 f"(n, {len(FEATURE_COLUMNS)}) wide feature rows"
             )
+        # The binner files NaN under its last bin, so a non-finite row
+        # would score as a confident answer instead of failing.
+        if not np.isfinite(X_wide).all():
+            raise ValueError("wide rows must be finite")
         n = X_wide.shape[0]
         n_counter = len(COUNTER_FEATURES)
         counters = X_wide[:, :n_counter]
@@ -208,9 +209,8 @@ class DescriptorConditionedPredictor:
         """``(scores, spread)`` over *machines* for one raw run record."""
         if self.normalizer is None:
             raise RuntimeError("score_record called before fit")
-        frame = Frame.from_records([record])
-        featured, _ = derive_feature_frame(frame, normalizer=self.normalizer)
-        X_wide = featured.to_matrix(list(FEATURE_COLUMNS))
+        check_record(record)
+        X_wide = featurize_records([record], self.normalizer, FEATURE_COLUMNS)
         scores, spread = self.predict_wide_with_uncertainty(
             X_wide, machines
         )

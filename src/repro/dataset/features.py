@@ -8,6 +8,8 @@ dividing them by its standard deviation."
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.arch.machines import SYSTEM_ORDER
@@ -21,7 +23,10 @@ from repro.frame import Frame
 
 __all__ = [
     "FeatureNormalizer",
+    "check_record",
     "derive_feature_frame",
+    "featurize_records",
+    "finite_counter",
     "RAW_FOR_MAGNITUDE",
     "REQUIRED_RECORD_FIELDS",
 ]
@@ -57,6 +62,9 @@ REQUIRED_RECORD_FIELDS: tuple[str, ...] = (
     *RAW_FOR_MAGNITUDE.values(),
     *CONFIG_FEATURES,
 )
+
+#: Every field feature derivation reads from a raw run record.
+_RECORD_FIELDS: tuple[str, ...] = (*REQUIRED_RECORD_FIELDS, "machine")
 
 
 class FeatureNormalizer:
@@ -150,6 +158,61 @@ def derive_feature_frame(
     if normalizer is None:
         normalizer = FeatureNormalizer().fit(out)
     return normalizer.transform(out), normalizer
+
+
+def finite_counter(value) -> bool:
+    """Whether *value* is one finite number, as featurization reads it."""
+    try:
+        return math.isfinite(float(value))
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
+def check_record(record: dict) -> None:
+    """Validate one raw run record before :func:`featurize_records`.
+
+    Raises ``KeyError`` naming every absent field and ``ValueError``
+    naming every counter that is not one finite number (NaN, ±inf, a
+    truncated or garbled measurement), or when ``total_instructions`` is
+    not positive.  A record that passes featurizes alone or in any
+    batch, so one bad record never fails the records beside it.
+    """
+    missing = [f for f in _RECORD_FIELDS if f not in record]
+    if missing:
+        raise KeyError(f"record is missing counter fields: {sorted(missing)}")
+    bad = [f for f in REQUIRED_RECORD_FIELDS if not finite_counter(record[f])]
+    if bad:
+        raise ValueError(
+            f"record has non-finite counter values: {sorted(bad)}"
+        )
+    if not float(record["total_instructions"]) > 0:
+        raise ValueError("total_instructions must be positive")
+
+
+def featurize_records(
+    records: list[dict],
+    normalizer: FeatureNormalizer,
+    columns: tuple[str, ...] | list[str],
+) -> np.ndarray:
+    """Raw run records -> ``(len(records), len(columns))`` feature rows.
+
+    The one record featurizer behind offline ``predict_record``,
+    zero-shot ``score_record``, the degradation chain and every
+    ``/predict`` flush.  Records must pass :func:`check_record`.  Only
+    the fields derivation reads are taken, as floats (and ``machine``
+    as a string), so every column has one dtype whatever the batch
+    holds; derivation is elementwise, so a batch is bit-identical to
+    featurizing its records one at a time.
+    """
+    frame = Frame.from_records(
+        {
+            **{name: float(record[name]) for name in REQUIRED_RECORD_FIELDS},
+            "machine": str(record["machine"]),
+        }
+        for record in records
+    )
+    featured, _ = derive_feature_frame(frame, normalizer=normalizer)
+    return featured.to_matrix(list(columns))
 
 
 # Re-exported for schema completeness checks in tests.

@@ -159,12 +159,16 @@ class GradientBoostedTrees:
         self.n_features_: int = 0
         self.n_outputs_: int = 0
         self._single_output_input = False
-        # Lazily-built flat stacked ensemble for vectorized prediction,
-        # keyed by strong references to the trees themselves so direct
-        # trees_ replacement (deserialization, early-stopping
-        # truncation, a serve hot-swap) always misses — an id-based key
-        # could false-hit when a replaced tree's id is recycled.
+        # Lazily-built flat stacked ensembles for vectorized prediction
+        # (the main trees, and one per quantile head), keyed by strong
+        # references to the trees themselves so direct trees_
+        # replacement (deserialization, early-stopping truncation, a
+        # serve hot-swap) always misses — an id-based key could
+        # false-hit when a replaced tree's id is recycled.
         self._flat_cache: tuple[tuple[Tree, ...], FlatEnsemble] | None = None
+        self._head_flat_cache: dict[
+            float, tuple[tuple[Tree, ...], FlatEnsemble]
+        ] = {}
         #: Per-round metrics recorded during fit: train MAE always, and
         #: validation MAE when an eval_set is supplied.
         self.eval_history_: dict[str, list[float]] = {}
@@ -207,6 +211,7 @@ class GradientBoostedTrees:
         pred = np.tile(self.base_score_, (n, 1))
         self.trees_ = []
         self._flat_cache = None
+        self._head_flat_cache = {}
         self.quantile_trees_ = {}
 
         val_pack = None
@@ -335,43 +340,39 @@ class GradientBoostedTrees:
         """
         if self.binner_ is None or self.base_score_ is None:
             raise RuntimeError("predict called before fit")
+        return self._accumulate(Xb)
+
+    def _accumulate(self, Xb: np.ndarray, head: float | None = None
+                    ) -> np.ndarray:
+        """Base score plus every tree's leaf value, for the main
+        ensemble or quantile *head*, routed through its cached
+        :class:`~repro.ml.tree.FlatEnsemble`."""
+        if head is None:
+            base, rounds = self.base_score_, self.trees_
+        else:
+            base, rounds = self.quantile_trees_[head]
         Xb = np.asarray(Xb)
-        pred = np.tile(self.base_score_, (Xb.shape[0], 1))
-        if not self.trees_:
+        pred = np.tile(base, (Xb.shape[0], 1))
+        if not rounds:
             return pred
-        flat = self._flat_ensemble()
+        flat = self._flat_ensemble(head)
         leaves = flat.predict_leaves(Xb)
         values = flat.values
+        vector_leaves = flat.n_outputs > 1  # multi_output_tree rounds
         ti = 0
-        for round_trees in self.trees_:
-            if self.multi_strategy == "multi_output_tree":
-                pred += values[leaves[ti]]
-                ti += 1
-            else:
-                for out in range(len(round_trees)):
+        for round_trees in rounds:
+            for out in range(len(round_trees)):
+                if vector_leaves:
+                    pred += values[leaves[ti]]
+                else:
                     pred[:, out] += values[leaves[ti], 0]
-                    ti += 1
+                ti += 1
         return pred
 
     @property
     def has_uncertainty(self) -> bool:
         """True once quantile heads are fitted (uncertainty protocol)."""
         return bool(self.quantile_trees_)
-
-    def predict_quantile_binned(self, q: float, Xb: np.ndarray) -> np.ndarray:
-        """One quantile head's prediction from pre-binned features."""
-        if q not in self.quantile_trees_:
-            raise RuntimeError(
-                f"no quantile head fitted for level {q!r}; "
-                f"available: {sorted(self.quantile_trees_)}"
-            )
-        base, rounds = self.quantile_trees_[q]
-        Xb = np.asarray(Xb)
-        pred = np.tile(base, (Xb.shape[0], 1))
-        for round_trees in rounds:
-            for out, tree in enumerate(round_trees):
-                pred[:, out] += tree.predict_binned(Xb)[:, 0]
-        return pred
 
     def predict_with_uncertainty(
         self, X: np.ndarray
@@ -399,22 +400,29 @@ class GradientBoostedTrees:
             )
         mean = self.predict_binned(Xb)
         levels = sorted(self.quantile_trees_)
-        lo = self.predict_quantile_binned(levels[0], Xb)
-        hi = self.predict_quantile_binned(levels[-1], Xb)
+        lo = self._accumulate(Xb, levels[0])
+        hi = self._accumulate(Xb, levels[-1])
         spread = np.clip((hi - lo) / 2.0, 0.0, None)
         return mean, spread
 
-    def _flat_ensemble(self) -> FlatEnsemble:
-        key = tuple(t for round_trees in self.trees_ for t in round_trees)
-        cached = self._flat_cache
+    def _flat_ensemble(self, head: float | None = None) -> FlatEnsemble:
+        """The main trees (or quantile *head*'s) as one FlatEnsemble."""
+        rounds = (self.trees_ if head is None
+                  else self.quantile_trees_[head][1])
+        key = tuple(t for round_trees in rounds for t in round_trees)
+        cached = (self._flat_cache if head is None
+                  else self._head_flat_cache.get(head))
         if cached is not None and cached[0] == key:
             return cached[1]
         flat = FlatEnsemble(list(key))
-        self._flat_cache = (key, flat)
+        if head is None:
+            self._flat_cache = (key, flat)
+        else:
+            self._head_flat_cache[head] = (key, flat)
         return flat
 
     def __getstate__(self) -> dict:
-        # The flat cache is a pure derivation of trees_ and roughly
+        # The flat caches are a pure derivation of the trees and roughly
         # doubles the pickled model size; persisting it would also leave
         # a stale entry on every deserialized copy (the unpickled trees
         # are new objects, so the key can never hit again).  Serve
@@ -422,7 +430,13 @@ class GradientBoostedTrees:
         # leak one dead FlatEnsemble per swap.
         state = self.__dict__.copy()
         state["_flat_cache"] = None
+        state["_head_flat_cache"] = {}
         return state
+
+    def __setstate__(self, state: dict) -> None:
+        # Models pickled before the heads had a flat cache lack the key.
+        state.setdefault("_head_flat_cache", {})
+        self.__dict__.update(state)
 
     # ------------------------------------------------------------------
     def feature_importances(self, kind: str = "gain") -> np.ndarray:

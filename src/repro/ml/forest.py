@@ -198,8 +198,7 @@ class RandomForestRegressor:
         """Every tree's prediction; shape ``(n_trees, n, n_outputs)``.
 
         The spread across trees is the standard bagging uncertainty
-        estimate (used by :meth:`repro.core.CrossArchPredictor.
-        predict_with_uncertainty`)."""
+        estimate (see :meth:`predict_with_uncertainty`)."""
         if not self.trees_ or self.binner_ is None:
             raise RuntimeError("predict called before fit")
         Xb = self.binner_.transform(np.asarray(X, dtype=np.float64))

@@ -44,11 +44,11 @@ from repro.dataset.features import (
     RAW_FOR_MAGNITUDE,
     RATIO_SOURCES,
     REQUIRED_RECORD_FIELDS,
-    derive_feature_frame,
+    featurize_records,
+    finite_counter,
 )
 from repro.dataset.schema import ARCH_COLUMNS, CONFIG_FEATURES, RATIO_FEATURES
 from repro.errors import ReproError
-from repro.frame import Frame
 
 __all__ = [
     "ResilientPredictor",
@@ -255,12 +255,8 @@ class ResilientPredictor:
             # features are overwritten below); it only has to keep the
             # derivation arithmetic finite.
             repaired[name] = SYSTEM_ORDER[0] if name == "machine" else 1.0
-        frame = Frame.from_records([repaired])
-        featured, _ = derive_feature_frame(
-            frame, normalizer=self.predictor.normalizer
-        )
-        columns = list(self.predictor.feature_columns)
-        X = featured.to_matrix(columns)
+        columns = self.predictor.feature_columns
+        X = featurize_records([repaired], self.predictor.normalizer, columns)
         tainted = set()
         for name in bad:
             tainted.update(_TAINTS.get(name, ()))
@@ -277,18 +273,10 @@ class ResilientPredictor:
         prediction down the chain instead.
         """
         uses_gpu = bool(record.get("uses_gpu", False))
-
-        def _is_bad(name: str) -> bool:
-            if name not in record:
-                return True
-            try:
-                return not bool(
-                    np.isfinite(np.asarray(record[name], dtype=np.float64))
-                )
-            except (TypeError, ValueError):
-                return True  # non-numeric garbage in a counter field
-
-        bad = [name for name in REQUIRED_RECORD_FIELDS if _is_bad(name)]
+        bad = [
+            name for name in REQUIRED_RECORD_FIELDS
+            if name not in record or not finite_counter(record[name])
+        ]
         if str(record.get("machine", "")) not in MACHINES:
             bad.append("machine")
 
@@ -296,10 +284,9 @@ class ResilientPredictor:
             try:
                 rpv = self.predictor.predict_record(record)
             except (ReproError, ValueError, KeyError):
-                # Record defects the _is_bad screen cannot see (e.g. a
-                # field the feature pipeline requires but the schema
-                # does not list).  Genuine model bugs surface instead of
-                # being absorbed as "degraded mode".
+                # Record defects the screen above cannot see (e.g. a
+                # non-positive total_instructions).  Genuine model bugs
+                # surface instead of being absorbed as "degraded mode".
                 return self._baseline(uses_gpu)
             self._count("model")
             return PredictionOutcome(np.asarray(rpv, dtype=np.float64), "model")

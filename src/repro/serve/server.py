@@ -51,6 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import telemetry
+from repro.dataset.features import check_record, featurize_records
 from repro.errors import ReproError, ServeError
 from repro.serve.admission import AdmissionController
 from repro.serve.coalescer import MicroBatcher
@@ -175,6 +176,8 @@ class PredictionService:
         results: list = [None] * n
         rows: list[np.ndarray] = []
         row_items: list[int] = []
+        records: list[dict] = []
+        record_items: list[int] = []
         for i, item in enumerate(items):
             if item.kind == "features":
                 if len(item.features) != model.n_features:
@@ -187,14 +190,12 @@ class PredictionService:
                 rows.append(np.asarray(item.features, dtype=np.float64))
                 row_items.append(i)
                 continue
-            # Raw record: the clean path featurizes exactly like the
-            # offline CrossArchPredictor.predict_record (single-record
-            # frame through the fitted normalizer) so batched answers
-            # are bit-identical to single-shot ones.
+            # Raw record: each is checked on its own, so a broken one
+            # drops into the degradation chain alone; the clean ones
+            # are featurized together below.
             try:
-                rows.append(self._featurize(item.record, model))
-                row_items.append(i)
-            except (ReproError, ValueError, KeyError, TypeError):
+                check_record(item.record)
+            except (ValueError, KeyError):
                 with telemetry.start_span(
                     "serve.degrade", trace_id=item.trace_id,
                     parent_id=item.span_id,
@@ -205,6 +206,20 @@ class PredictionService:
                     dspan.annotate(tier=outcome.tier)
                 results[i] = BatchResult(outcome.rpv, outcome.tier,
                                          model, 1)
+                continue
+            records.append(item.record)
+            record_items.append(i)
+        if records:
+            # The same featurizer as the offline predict_record, so
+            # batched answers are bit-identical to single-shot ones.
+            predictor = model.predictor
+            if predictor.normalizer is None:
+                raise ServeError("model has no fitted normalizer",
+                                 code=500, reason="bad-model")
+            rows.extend(featurize_records(
+                records, predictor.normalizer, predictor.feature_columns
+            ))
+            row_items.extend(record_items)
         if rows:
             X = np.vstack(rows)
             finite = np.isfinite(X).all(axis=1)
@@ -226,34 +241,6 @@ class PredictionService:
                     span.end(type(result) if result is not None else None)
             batch_span.end()
         return results
-
-    @staticmethod
-    def _featurize(record: dict, model: ActiveModel) -> np.ndarray:
-        """One record -> one feature row, the predict_record way."""
-        from repro.dataset.features import (
-            REQUIRED_RECORD_FIELDS,
-            derive_feature_frame,
-        )
-        from repro.frame import Frame
-
-        predictor = model.predictor
-        if predictor.normalizer is None:
-            raise ServeError("model has no fitted normalizer", code=500,
-                             reason="bad-model")
-        missing = [f for f in REQUIRED_RECORD_FIELDS if f not in record]
-        if missing:
-            raise KeyError(f"record is missing fields: {sorted(missing)}")
-        bad = [
-            f for f in REQUIRED_RECORD_FIELDS
-            if not np.isfinite(np.asarray(record[f], dtype=np.float64))
-        ]
-        if bad:
-            raise ValueError(f"record has non-finite values: {sorted(bad)}")
-        frame = Frame.from_records([record])
-        featured, _ = derive_feature_frame(
-            frame, normalizer=predictor.normalizer
-        )
-        return featured.to_matrix(list(predictor.feature_columns))[0]
 
     # ------------------------------------------------------------------
     # Zero-shot scoring (inline machine descriptors)

@@ -17,6 +17,7 @@ from repro.dataset import (
     derive_feature_frame,
     generate_dataset,
 )
+from repro.dataset.features import check_record, featurize_records
 from repro.errors import DatasetError, ReproError
 from repro.frame import Frame, write_csv
 
@@ -221,6 +222,55 @@ class TestFeatures:
         )
         with pytest.raises(ValueError):
             derive_feature_frame(records)
+
+
+class TestRecordFeaturizer:
+    """The one featurizer behind predict_record, score_record, the
+    degradation chain and batched /predict."""
+
+    @pytest.fixture(scope="class")
+    def records(self):
+        from repro.serve import synthesize_payloads
+
+        records = [p["record"] for p in synthesize_payloads(256, seed=5)]
+        # JSON-shaped variety: ints and bools where floats usually sit.
+        for record in records[::3]:
+            record["nodes"] = int(record["nodes"])
+            record["uses_gpu"] = bool(record["uses_gpu"])
+        return records
+
+    def test_batch_matches_one_at_a_time(self, records, small_dataset):
+        norm = small_dataset.normalizer
+        batch = featurize_records(records, norm, FEATURE_COLUMNS)
+        single = np.vstack([
+            featurize_records([record], norm, FEATURE_COLUMNS)
+            for record in records
+        ])
+        assert batch.shape == (len(records), len(FEATURE_COLUMNS))
+        assert np.array_equal(batch, single)
+
+    def test_matches_frame_derivation(self, records, small_dataset):
+        norm = small_dataset.normalizer
+        for record in records[:12]:
+            featured, _ = derive_feature_frame(
+                Frame.from_records([record]), normalizer=norm
+            )
+            assert np.array_equal(
+                featurize_records([record], norm, FEATURE_COLUMNS),
+                featured.to_matrix(list(FEATURE_COLUMNS)),
+            )
+
+    def test_check_record(self, records):
+        check_record(records[0])
+        missing = dict(records[0])
+        del missing["machine"], missing["ept_bytes"]
+        with pytest.raises(KeyError, match="ept_bytes.*machine"):
+            check_record(missing)
+        for garbage in (float("nan"), float("-inf"), "n/a", None, [1.0]):
+            with pytest.raises(ValueError, match="non-finite.*'load'"):
+                check_record(dict(records[0], load=garbage))
+        with pytest.raises(ValueError, match="positive"):
+            check_record(dict(records[0], total_instructions=0.0))
 
 
 class TestDatasetStatistics:

@@ -72,16 +72,12 @@ def test_predictor_pack_rejections():
 
     with pytest.raises(PackingError, match="shape"):
         predictor.pack(np.zeros((3, n_feat + 1)))
-    with pytest.raises(PackingError, match="uint8"):
-        predictor.predict_packed(np.zeros((3, n_feat), dtype=np.float64))
     with pytest.raises(PackingError, match="shape"):
-        predictor.predict_packed(
-            np.zeros((3, n_feat + 2), dtype=np.uint8))
+        predictor.predict(np.zeros((3, n_feat + 2), dtype=np.uint8))
 
     Xf = dataset.frame.to_matrix(list(predictor.feature_columns))
     packed = predictor.pack(Xf)
-    assert np.array_equal(predictor.predict_packed(packed),
-                          predictor.predict(Xf))
+    assert np.array_equal(predictor.predict(packed), predictor.predict(Xf))
 
 
 def test_predictor_pack_requires_binner():
@@ -90,8 +86,13 @@ def test_predictor_pack_requires_binner():
 
     dataset = generate_dataset(inputs_per_app=1, seed=0)
     predictor = CrossArchPredictor.train(dataset, model="linear")
+    n_feat = len(predictor.feature_columns)
     with pytest.raises(PackingError, match="binner"):
-        predictor.pack(np.zeros((2, len(predictor.feature_columns))))
+        predictor.pack(np.zeros((2, n_feat)))
+    # uint8 rows mean packed codes, which a model without a binner
+    # cannot score.
+    with pytest.raises(PackingError, match="binner"):
+        predictor.predict(np.zeros((2, n_feat), dtype=np.uint8))
 
 
 # ----------------------------------------------------------------------
@@ -165,6 +166,29 @@ def test_flat_cache_dropped_by_pickle():
     # (one dead FlatEnsemble per serve hot-swap).
     assert clone._flat_cache is None
     assert np.array_equal(clone.predict_binned(Xb), expected)
+
+
+def test_head_flat_caches_dropped_by_pickle():
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(200, _N_FEATURES))
+    gbt = GradientBoostedTrees(
+        n_estimators=6, max_depth=3, quantile_heads=(0.25, 0.75),
+        n_quantile_rounds=5, random_state=8,
+    ).fit(X, rng.normal(size=(200, 2)))
+    expected = gbt.predict_with_uncertainty(X)
+    assert set(gbt._head_flat_cache) == {0.25, 0.75}
+
+    clone = pickle.loads(pickle.dumps(gbt))
+    assert clone._head_flat_cache == {}
+    # A model pickled before the heads had flat caches still scores.
+    state = gbt.__getstate__()
+    del state["_head_flat_cache"]
+    old = GradientBoostedTrees.__new__(GradientBoostedTrees)
+    old.__setstate__(state)
+    for model in (clone, old):
+        mean, spread = model.predict_with_uncertainty(X)
+        assert np.array_equal(mean, expected[0])
+        assert np.array_equal(spread, expected[1])
 
 
 def test_forest_flat_cache_dropped_by_pickle():

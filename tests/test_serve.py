@@ -307,6 +307,33 @@ class TestBitIdentical:
             offline = trained_xgb.predict_record(payload["record"])
             assert np.array_equal(np.asarray(response["rpv"]), offline)
 
+        # A mixed flush: clean records are featurized together, while a
+        # record missing a field and one with a NaN counter each drop
+        # into the degradation chain on their own.
+        missing = dict(sample_payloads[0]["record"])
+        del missing["load"]
+        nan = dict(sample_payloads[1]["record"], l1_load_miss=float("nan"))
+        mixed = ([dict(p) for p in sample_payloads[2:]]
+                 + [{"record": missing}, {"record": nan}])
+        service = make_service(root, max_batch=len(mixed),
+                               batch_deadline_s=30.0)
+
+        async def mixed_scenario():
+            return await asyncio.gather(
+                *(service.handle_predict(p) for p in mixed)
+            )
+
+        responses = asyncio.run(mixed_scenario())
+        n_clean = len(sample_payloads) - 2
+        for payload, response in zip(mixed[:n_clean], responses):
+            assert response["tier"] == "model"
+            assert response["batch_size"] == n_clean
+            offline = trained_xgb.predict_record(payload["record"])
+            assert np.array_equal(np.asarray(response["rpv"]), offline)
+        for response in responses[n_clean:]:
+            assert response["tier"] == "imputed"
+            assert response["batch_size"] == 1
+
     def test_batched_features_match_predict(
         self, registry, trained_xgb, small_dataset
     ):

@@ -203,6 +203,37 @@ class TestZeroShotServing:
                 "machines": [_descriptor_payload("Lassen")],
             }))
 
+    @pytest.mark.parametrize("field", ["total_instructions",
+                                       "l1_load_miss"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_record_is_a_400(self, zs_registry, payload, field,
+                                        value):
+        """There is no degraded tier for unseen machines: a broken
+        counter fails the zero-shot request, while the RPV path
+        degrades the very same record."""
+        record = dict(payload["record"], **{field: value})
+        service = make_service(zs_registry[0])
+        with pytest.raises(ServeError, match="non-finite") as err:
+            asyncio.run(service.handle_predict({
+                "record": record,
+                "machines": [_descriptor_payload("Ruby")],
+            }))
+        assert (err.value.code, err.value.reason) == (400, "bad-payload")
+        rpv = asyncio.run(service.handle_predict({"record": record}))
+        assert rpv["tier"] == "imputed"
+
+    def test_non_finite_features_are_a_400(self, zs_registry,
+                                           small_dataset):
+        features = [float(v) for v in small_dataset.X()[0]]
+        features[0] = float("nan")
+        service = make_service(zs_registry[0])
+        with pytest.raises(ServeError, match="finite") as err:
+            asyncio.run(service.handle_predict({
+                "features": features,
+                "machines": [_descriptor_payload("Lassen")],
+            }))
+        assert (err.value.code, err.value.reason) == (400, "bad-payload")
+
     def test_classic_requests_unchanged(self, zs_registry, payload):
         """The RPV path must not notice the zero-shot head exists."""
         service = make_service(zs_registry[0])

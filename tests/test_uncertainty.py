@@ -143,22 +143,19 @@ class TestPredictorThreading:
                                        small_dataset, split_indices):
         _, test_rows = split_indices
         Xb = xgb_with_heads.pack(small_dataset.X()[test_rows])
-        mean, spread = xgb_with_heads.predict_packed_with_uncertainty(Xb)
-        assert np.array_equal(mean, xgb_with_heads.predict_packed(Xb))
+        mean, spread = xgb_with_heads.predict_with_uncertainty(Xb)
+        assert np.array_equal(mean, xgb_with_heads.predict(Xb))
         assert (spread >= 0).all()
-
-    def test_packed_rejects_wrong_dtype(self, xgb_with_heads,
-                                        small_dataset):
-        X = small_dataset.X()[:4]
-        with pytest.raises(PackingError, match="uint8"):
-            xgb_with_heads.predict_packed_with_uncertainty(
-                X.astype(np.float64)
-            )
+        float_mean, float_spread = xgb_with_heads.predict_with_uncertainty(
+            small_dataset.X()[test_rows]
+        )
+        assert np.array_equal(mean, float_mean)
+        assert np.array_equal(spread, float_spread)
 
     def test_packed_rejects_wrong_width(self, xgb_with_heads):
         bad = np.zeros((3, len(FEATURE_COLUMNS) + 2), dtype=np.uint8)
         with pytest.raises(PackingError, match="expected"):
-            xgb_with_heads.predict_packed_with_uncertainty(bad)
+            xgb_with_heads.predict_with_uncertainty(bad)
 
     def test_plain_xgboost_raises_with_remedy(self, trained_xgb,
                                               small_dataset):

@@ -11,15 +11,24 @@ What must hold:
 
 from __future__ import annotations
 
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro import native
 from repro.arch.descriptor import MachineDescriptor, descriptor_from_spec
 from repro.arch.machines import MACHINES, SYSTEM_ORDER
 from repro.core.zeroshot import DescriptorConditionedPredictor
 from repro.dataset.longform import build_longform
 from repro.dataset.schema import FEATURE_COLUMNS, LONG_FEATURE_COLUMNS
 from repro.serve.loadgen import synthesize_payloads
+
+#: SHA-256 of ``(scores, spread)`` from the ``zeroshot`` fixture over
+#: every ``small_dataset`` row against the four SYSTEM_ORDER descriptors,
+#: recorded when the quantile heads were still walked one Tree at a time.
+GOLDEN_SCORES = Path(__file__).parent / "golden" / "zeroshot_wide.sha256"
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +169,57 @@ class TestZeroShotGeneralization:
         fastest = per_row.argmin(axis=1)
         assert fastest.shape == (4,)
         assert (fastest < len(SYSTEM_ORDER)).all()
+
+
+class TestGoldenScores:
+    """Main ensemble and quantile heads both route through the flat
+    kernel; natively and through the numpy fallback they must give the
+    exact bits the per-tree traversal gave."""
+
+    @pytest.mark.parametrize("kernel", ["native", "numpy"])
+    def test_wide_scores_match_golden_digest(self, zeroshot, small_dataset,
+                                             kernel):
+        saved = native._state
+        if kernel == "numpy":
+            native._state = (None, "forced off for the golden test")
+        try:
+            scores, spread = zeroshot.predict_wide_with_uncertainty(
+                small_dataset.X(), _descriptors()
+            )
+        finally:
+            native._state = saved
+        digest = hashlib.sha256(scores.tobytes() + spread.tobytes())
+        assert digest.hexdigest() == GOLDEN_SCORES.read_text().strip()
+
+
+class TestNonFiniteInputs:
+    """The binner files NaN under its last bin, so a broken counter
+    would otherwise come back as a finite, confident score."""
+
+    @pytest.mark.parametrize("field", ["total_instructions", "load",
+                                       "mem_stall_cycles", "nodes"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_score_record_rejects_non_finite_counter(self, zeroshot,
+                                                     field, value):
+        record = dict(synthesize_payloads(1, seed=3)[0]["record"])
+        record[field] = value
+        with pytest.raises(ValueError, match=f"non-finite.*{field}"):
+            zeroshot.score_record(record, _descriptors())
+
+    def test_score_record_rejects_missing_counter(self, zeroshot):
+        record = dict(synthesize_payloads(1, seed=3)[0]["record"])
+        del record["total_instructions"]
+        with pytest.raises(KeyError, match="total_instructions"):
+            zeroshot.score_record(record, _descriptors())
+
+    def test_wide_rows_must_be_finite(self, zeroshot, small_dataset):
+        X = small_dataset.X()[:3].copy()
+        X[1, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            zeroshot.predict_wide_with_uncertainty(X, _descriptors())
+        with pytest.raises(ValueError, match="finite"):
+            zeroshot.predict_wide(X, _descriptors())
 
 
 class TestPersistence:

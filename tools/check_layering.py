@@ -100,7 +100,6 @@ _SERVE_DEPS = {
     "repro.config",
     "repro.artifacts",
     "repro.telemetry",
-    "repro.frame",
     "repro.apps",
     "repro.arch",
     "repro.perfsim.config",
@@ -163,7 +162,7 @@ ALLOWED = {
     "repro.core.zeroshot": {
         "repro.arch.descriptor", "repro.arch.machines",
         "repro.dataset.features", "repro.dataset.longform",
-        "repro.dataset.schema", "repro.frame", "repro.ml",
+        "repro.dataset.schema", "repro.ml",
     },
     "repro.sweep": _SWEEP_DEPS,
     "repro.sweep.spec": _SWEEP_DEPS,
